@@ -32,9 +32,10 @@ const BUILTIN_SOURCES: [&str; 6] = [
 ];
 
 /// Output-sink method/macro names. A tainted value passed as an
-/// argument to one of these is a determinism leak. `lint.toml` can add
-/// more via `taint-sinks`.
-const BUILTIN_SINKS: [&str; 10] = [
+/// argument to one of these is a determinism leak. The last eight are
+/// `marauder_obs::json`'s escaper and `Writer` methods, which every
+/// report renders through. `lint.toml` can add more via `taint-sinks`.
+const BUILTIN_SINKS: [&str; 18] = [
     "write",
     "write_all",
     "write_fmt",
@@ -45,6 +46,14 @@ const BUILTIN_SINKS: [&str; 10] = [
     "encode",
     "encode_body",
     "render",
+    "write_string",
+    "key",
+    "str",
+    "u64",
+    "i64",
+    "f64",
+    "bool",
+    "raw",
 ];
 
 /// Methods/functions whose return type is `Result` in std or in this

@@ -148,7 +148,7 @@ fn cli_sarif_output_validates_and_carries_all_results() {
     assert_eq!(out.status.code(), Some(1));
     let sarif = String::from_utf8(out.stdout).expect("utf8 sarif");
     marauder_lint::sarif::validate(&sarif).expect("SARIF 2.1.0 required-property subset");
-    let doc = marauder_lint::json::parse(&sarif).expect("sarif parses as json");
+    let doc = marauder_obs::json::parse(&sarif).expect("sarif parses as json");
     let results = doc.get("runs").unwrap().as_arr().unwrap()[0]
         .get("results")
         .unwrap()

@@ -344,6 +344,28 @@ fn stamp_report(out: &mut String) {
 }
 
 #[test]
+fn determinism_taint_reaches_the_json_writer() {
+    // A report rendered through `obs::json::Writer` is a sink like any
+    // `push_str`: an `elapsed` reading written into it is flagged in a
+    // library crate outside every no-wall-clock allow-path.
+    let src = r#"
+use marauder_obs::json::{Layout, Writer};
+use std::time::Instant;
+fn report(start: Instant) -> String {
+    let secs = start.elapsed().as_secs_f64();
+    let mut w = Writer::new();
+    w.object(Layout::Block);
+    w.key("wall_s").f64(secs);
+    w.end();
+    w.finish()
+}
+"#;
+    let diags = lint("crates/fault/src/x.rs", src);
+    assert_eq!(rules_of(&diags), vec!["determinism-taint"], "{diags:?}");
+    assert_eq!(diags[0].line, 8, "reported at the sink: {diags:?}");
+}
+
+#[test]
 fn determinism_taint_hash_order_source() {
     // Hash-map iteration order is a taint source even in crates outside
     // no-hash-iteration's scope (bench is not in its crate list).

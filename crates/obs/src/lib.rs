@@ -17,6 +17,7 @@
 //!   tests. Timings and scheduling-dependent counters render under an
 //!   explicit `"nondeterministic"` JSON key, after every deterministic
 //!   section, so two reports can be diffed on their prefix.
+//! * [`json`] — the one JSON writer and reader every report uses.
 //!
 //! Producers across the workspace use the process-wide [`global()`]
 //! registry; tests that need isolation construct their own
@@ -25,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod clock;
+pub mod json;
 pub mod registry;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};

@@ -909,6 +909,18 @@ fn stats(opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Writes a JSON report to `--out FILE`, or to stdout without it.
+fn emit_report(opts: &Opts, json: &str) -> Result<(), CliError> {
+    match opts.get("out") {
+        Some(path) => {
+            write(Path::new(path), json)?;
+            eprintln!("wrote {path}");
+        }
+        None => print!("{json}"),
+    }
+    Ok(())
+}
+
 /// Runs the deterministic fault matrix against a simulated capture and
 /// emits the JSON degradation report.
 fn chaos(opts: &Opts) -> Result<(), CliError> {
@@ -923,15 +935,7 @@ fn chaos(opts: &Opts) -> Result<(), CliError> {
         "chaos: scenario {scenario_name} (seed {seed}), {} fault cell(s) + clean baseline",
         plans.len()
     );
-    let scenario = match scenario_name {
-        "quick" => ChaosScenario::quick(seed),
-        "fig13" => ChaosScenario::fig13(seed),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --scenario {other:?} (quick|fig13)"
-            )))
-        }
-    };
+    let scenario = ChaosScenario::by_name(scenario_name, seed).map_err(CliError::Usage)?;
     let report = scenario.run_matrix(fault_seed, &plans);
     for cell in &report.cells {
         eprintln!(
@@ -943,14 +947,7 @@ fn chaos(opts: &Opts) -> Result<(), CliError> {
             cell.devices_degraded
         );
     }
-    let json = report.to_json();
-    match opts.get("out") {
-        Some(path) => {
-            write(Path::new(path), &json)?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+    emit_report(opts, &report.to_json())?;
     Ok(())
 }
 
@@ -962,15 +959,7 @@ fn chaos(opts: &Opts) -> Result<(), CliError> {
 fn crash(opts: &Opts) -> Result<(), CliError> {
     let seed: u64 = get_num(opts, "seed", 1)?;
     let scenario_name = opts.get("scenario").map(String::as_str).unwrap_or("quick");
-    let scenario = match scenario_name {
-        "quick" => ChaosScenario::quick(seed),
-        "fig13" => ChaosScenario::fig13(seed),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --scenario {other:?} (quick|fig13)"
-            )))
-        }
-    };
+    let scenario = ChaosScenario::by_name(scenario_name, seed).map_err(CliError::Usage)?;
     let frames = scenario.captures().len();
     // Default stride keeps the sweep to ~25 cells; --stride 1 tests
     // every boundary.
@@ -997,14 +986,7 @@ fn crash(opts: &Opts) -> Result<(), CliError> {
         report.cells.len(),
         report.mismatches().len()
     );
-    let json = report.to_json();
-    match opts.get("out") {
-        Some(path) => {
-            write(Path::new(path), &json)?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+    emit_report(opts, &report.to_json())?;
     if !report.all_matched() {
         return Err(CliError::Input(format!(
             "crash equivalence failed at boundaries {:?}",
@@ -1209,15 +1191,7 @@ fn fleet_chaos(opts: &Opts) -> Result<(), CliError> {
     let fault_seed: u64 = get_num(opts, "fault-seed", seed)?;
     let nodes: usize = get_num(opts, "nodes", 4)?;
     let scenario_name = opts.get("scenario").map(String::as_str).unwrap_or("fig13");
-    let scenario = match scenario_name {
-        "quick" => ChaosScenario::quick(seed),
-        "fig13" => ChaosScenario::fig13(seed),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --scenario {other:?} (quick|fig13)"
-            )))
-        }
-    };
+    let scenario = ChaosScenario::by_name(scenario_name, seed).map_err(CliError::Usage)?;
     eprintln!("fleet chaos: scenario {scenario_name} (seed {seed}), {nodes} node(s) per cell");
     let report = run_default_matrix(&scenario, fault_seed, nodes)?;
     for cell in &report.cells {
@@ -1235,14 +1209,7 @@ fn fleet_chaos(opts: &Opts) -> Result<(), CliError> {
             }
         );
     }
-    let json = report.to_json();
-    match opts.get("out") {
-        Some(path) => {
-            write(Path::new(path), &json)?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+    emit_report(opts, &report.to_json())?;
     if !report.all_match() {
         return Err(CliError::Input(
             "fleet merge diverged from single-stream replay in at least one cell".into(),
@@ -1459,14 +1426,7 @@ fn serve_bench(opts: &Opts) -> Result<(), CliError> {
             "OVER BUDGET"
         }
     );
-    let json = report.to_json();
-    match opts.get("out") {
-        Some(path) => {
-            write(Path::new(path), &json)?;
-            eprintln!("wrote bench report to {path}");
-        }
-        None => print!("{json}"),
-    }
+    emit_report(opts, &report.to_json())?;
     Ok(())
 }
 
@@ -1481,14 +1441,7 @@ fn serve_chaos(opts: &Opts) -> Result<(), CliError> {
         ..defaults
     };
     let report = run_chaos(&config)?;
-    let json = report.to_json();
-    match opts.get("out") {
-        Some(path) => {
-            write(Path::new(path), &json)?;
-            eprintln!("wrote chaos report to {path}");
-        }
-        None => print!("{json}"),
-    }
+    emit_report(opts, &report.to_json())?;
     if !report.pass() {
         let violations = report.violations().count();
         return Err(CliError::Input(format!(
