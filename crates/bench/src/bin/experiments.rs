@@ -13,7 +13,7 @@
 //! tables are byte-identical either way); output is printed in request
 //! order once everything has finished.
 
-use marauder_bench::common::{run_attack_experiment, AttackOutcomes};
+use marauder_bench::common::{run_attack_experiment, AttackOutcomes, ATTACK_SEEDS};
 use marauder_bench::{extensions, figures};
 use marauder_sim::scenario::WorldModel;
 use std::fs;
@@ -86,7 +86,7 @@ fn main() {
         .count();
     let shared = if shared_needed >= 2 {
         eprintln!("running the shared attack campaign for figs 13-16 ...");
-        Some(run_attack_experiment(&[1, 2, 3], WorldModel::FreeSpace))
+        Some(run_attack_experiment(ATTACK_SEEDS, WorldModel::FreeSpace))
     } else {
         None
     };

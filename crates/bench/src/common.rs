@@ -94,6 +94,11 @@ pub struct AttackOutcomes {
     pub nearest: EvalOutcome,
 }
 
+/// Campus seeds of the accuracy campaign figs 13-16 share: each
+/// figure's table is the same whether it is regenerated alone or
+/// alongside the others.
+pub const ATTACK_SEEDS: &[u64] = &[1, 2, 3];
+
 /// Runs the paper's accuracy experiment (Section IV-D): a victim walks
 /// a loop around the monitored campus while the rig captures; each
 /// algorithm localizes every windowed observation, scored against the

@@ -2,12 +2,12 @@
 //! Centroid baseline. Paper headline: average error 9.41 m (M-Loc),
 //! 13.75 m (AP-Rad), 17.28 m (Centroid) — M-Loc < AP-Rad < Centroid.
 
-use crate::common::{run_attack_experiment, AttackOutcomes, Table};
+use crate::common::{run_attack_experiment, AttackOutcomes, Table, ATTACK_SEEDS};
 use marauder_sim::scenario::WorldModel;
 
 /// Regenerates the figure from a fresh campaign.
 pub fn run() -> String {
-    run_with(&run_attack_experiment(&[1, 2], WorldModel::FreeSpace))
+    run_with(&run_attack_experiment(ATTACK_SEEDS, WorldModel::FreeSpace))
 }
 
 /// Renders the figure from precomputed outcomes.

@@ -3,12 +3,12 @@
 //! monotonically with more APs while Centroid's *increases* (skewed AP
 //! clusters drag it away).
 
-use crate::common::{run_attack_experiment, AttackOutcomes, Table};
+use crate::common::{run_attack_experiment, AttackOutcomes, Table, ATTACK_SEEDS};
 use marauder_sim::scenario::WorldModel;
 
 /// Regenerates the figure from a fresh campaign.
 pub fn run() -> String {
-    run_with(&run_attack_experiment(&[1, 2], WorldModel::FreeSpace))
+    run_with(&run_attack_experiment(ATTACK_SEEDS, WorldModel::FreeSpace))
 }
 
 /// Renders the figure from precomputed outcomes.

@@ -2,12 +2,12 @@
 //! communicable APs. AP-Rad's LP-estimated radii are looser than
 //! M-Loc's measured ones, so its region is consistently larger.
 
-use crate::common::{run_attack_experiment, AttackOutcomes, Table};
+use crate::common::{run_attack_experiment, AttackOutcomes, Table, ATTACK_SEEDS};
 use marauder_sim::scenario::WorldModel;
 
 /// Regenerates the figure from a fresh campaign.
 pub fn run() -> String {
-    run_with(&run_attack_experiment(&[1, 2], WorldModel::FreeSpace))
+    run_with(&run_attack_experiment(ATTACK_SEEDS, WorldModel::FreeSpace))
 }
 
 /// Renders the figure from precomputed outcomes.
