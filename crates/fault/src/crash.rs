@@ -33,8 +33,8 @@
 use crate::harness::ChaosScenario;
 use marauder_obs::json::{Layout, Writer};
 use marauder_stream::{
-    FlushPolicy, FrameJournal, JournalConfig, JournalError, RecoveryError, StreamConfig,
-    StreamEngine, TrackFix,
+    replay_frames, FlushPolicy, FrameJournal, Ingest, IngestError, JournalConfig, JournalError,
+    RecoveryError, StreamConfig, StreamEngine, TrackFix,
 };
 use marauder_wifi::sniffer::CapturedFrame;
 use std::fmt;
@@ -79,10 +79,10 @@ impl Default for CrashSweepConfig {
 /// report), but a journal or recovery operation that failed outright.
 #[derive(Debug)]
 pub enum SweepError {
-    /// Writing the journal for a crash point failed.
-    Journal(JournalError),
     /// Recovering a crash point failed.
     Recovery(RecoveryError),
+    /// Journaling or ingesting the frames of a run failed.
+    Ingest(IngestError),
     /// Filesystem trouble outside the journal itself.
     Io {
         /// What the sweep was doing.
@@ -95,8 +95,8 @@ pub enum SweepError {
 impl fmt::Display for SweepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SweepError::Journal(e) => write!(f, "crash sweep: {e}"),
             SweepError::Recovery(e) => write!(f, "crash sweep: {e}"),
+            SweepError::Ingest(e) => write!(f, "crash sweep: {e}"),
             SweepError::Io { op, source } => write!(f, "crash sweep {op}: {source}"),
         }
     }
@@ -105,8 +105,8 @@ impl fmt::Display for SweepError {
 impl std::error::Error for SweepError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SweepError::Journal(e) => Some(e),
             SweepError::Recovery(e) => Some(e),
+            SweepError::Ingest(e) => Some(e),
             SweepError::Io { source, .. } => Some(source),
         }
     }
@@ -114,13 +114,19 @@ impl std::error::Error for SweepError {
 
 impl From<JournalError> for SweepError {
     fn from(e: JournalError) -> Self {
-        SweepError::Journal(e)
+        SweepError::Ingest(IngestError::Journal(e))
     }
 }
 
 impl From<RecoveryError> for SweepError {
     fn from(e: RecoveryError) -> Self {
         SweepError::Recovery(e)
+    }
+}
+
+impl From<IngestError> for SweepError {
+    fn from(e: IngestError) -> Self {
+        SweepError::Ingest(e)
     }
 }
 
@@ -177,27 +183,24 @@ pub struct CrashReport {
     pub cells: Vec<CrashCell>,
 }
 
+impl CrashCell {
+    /// Whether this boundary and every torn companion matched.
+    fn all_matched(&self) -> bool {
+        let torn = [&self.torn, &self.torn_header];
+        self.matched && torn.iter().all(|t| t.as_ref().is_none_or(|t| t.matched))
+    }
+}
+
 impl CrashReport {
     /// Whether every cell (and every torn companion) matched.
     pub fn all_matched(&self) -> bool {
-        self.cells.iter().all(|c| {
-            c.matched
-                && c.torn.as_ref().map(|t| t.matched).unwrap_or(true)
-                && c.torn_header.as_ref().map(|t| t.matched).unwrap_or(true)
-        })
+        self.cells.iter().all(CrashCell::all_matched)
     }
 
     /// Boundaries that failed equivalence.
     pub fn mismatches(&self) -> Vec<usize> {
-        self.cells
-            .iter()
-            .filter(|c| {
-                !c.matched
-                    || c.torn.as_ref().map(|t| !t.matched).unwrap_or(false)
-                    || c.torn_header.as_ref().map(|t| !t.matched).unwrap_or(false)
-            })
-            .map(|c| c.crash_after)
-            .collect()
+        let failed = self.cells.iter().filter(|c| !c.all_matched());
+        failed.map(|c| c.crash_after).collect()
     }
 
     /// Renders the report as JSON.
@@ -283,19 +286,8 @@ fn sweep_journal_config() -> JournalConfig {
     }
 }
 
-/// The uninterrupted run: push everything, close out, batch-localize.
-fn clean_reference(scenario: &ChaosScenario, frames: &[CapturedFrame]) -> String {
-    let mut engine = StreamEngine::new(scenario.fresh_map(), sweep_config());
-    let mut closed = Vec::new();
-    for f in frames {
-        closed.extend(engine.push(f));
-    }
-    closed.extend(engine.finish());
-    render_fixes(&engine.batch_fixes(closed))
-}
-
-/// Journals and ingests exactly `n` frames — the pre-crash run. What
-/// this function *returns* is deliberately nothing: the kill loses all
+/// Journals and ingests exactly `n` frames into a fresh `dir` — the
+/// pre-crash run — then drops the ingest unsealed: the kill loses all
 /// in-memory state, and recovery may only use the directory.
 fn run_until_crash(
     scenario: &ChaosScenario,
@@ -304,40 +296,52 @@ fn run_until_crash(
     dir: &Path,
     checkpoint_every: usize,
 ) -> Result<(), SweepError> {
-    let mut journal = FrameJournal::create(dir, sweep_journal_config())?;
-    let mut engine = StreamEngine::new(scenario.fresh_map(), sweep_config());
-    let mut closed = Vec::new();
-    for (k, f) in frames[..n].iter().enumerate() {
-        journal.append(f)?;
-        closed.extend(engine.push(f));
-        if checkpoint_every > 0 && (k + 1) % checkpoint_every == 0 {
-            journal.checkpoint(&engine, &closed)?;
-        }
-    }
-    journal.sync()?;
+    let _ = std::fs::remove_dir_all(dir);
+    let journal = FrameJournal::create(dir, sweep_journal_config())?;
+    let engine = StreamEngine::new(scenario.fresh_map(), sweep_config());
+    let mut ingest = Ingest::new(engine, Some(journal));
+    ingest.checkpoint_every = checkpoint_every;
+    ingest.run(frames[..n].iter().map(Ok), &mut ())?;
     Ok(())
 }
 
-/// Recovers `dir`, resumes ingestion from the recovered sequence, and
-/// renders the final fixes. Returns the rendering plus the recovery
-/// accounting.
+/// Recovers `dir` and resumes over the whole capture, exactly as
+/// `marauder replay --journal` does: the journaled frames are skipped
+/// (CRC-checked), the rest appended and pushed, then the run is sealed.
+/// Returns the final fixes' rendering plus the recovery accounting.
 fn recover_and_resume(
     scenario: &ChaosScenario,
     frames: &[CapturedFrame],
     dir: &Path,
+    checkpoint_every: usize,
 ) -> Result<(String, marauder_stream::RecoveryReport), SweepError> {
-    let rec = FrameJournal::recover(dir, scenario.fresh_map(), sweep_config())?;
-    let mut journal = rec.journal;
-    journal.set_config(sweep_journal_config());
-    let mut engine = rec.engine;
-    let mut closed = rec.closed;
-    let resume_from = rec.next_seq as usize;
-    for f in &frames[resume_from.min(frames.len())..] {
-        journal.append(f)?;
-        closed.extend(engine.push(f));
+    let mut rec = FrameJournal::recover(dir, scenario.fresh_map(), sweep_config())?;
+    rec.journal.set_config(sweep_journal_config());
+    let report = rec.report.clone();
+    let mut ingest = Ingest::resume(rec);
+    ingest.checkpoint_every = checkpoint_every;
+    ingest.run(frames.iter().map(Ok), &mut ())?;
+    ingest.seal(&mut ())?;
+    let (mut engine, closed, _) = ingest.into_parts();
+    Ok((render_fixes(&engine.batch_fixes(closed)), report))
+}
+
+/// The files with extension `ext` in journal directory `dir`, sorted
+/// (= by sequence number: names are zero-padded).
+fn journal_files(dir: &Path, ext: &str) -> Result<Vec<PathBuf>, SweepError> {
+    let io = |source| SweepError::Io {
+        op: "scan journal dir".to_string(),
+        source,
+    };
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(io)? {
+        let path = entry.map_err(io)?.path();
+        if path.extension().is_some_and(|e| e == ext) {
+            files.push(path);
+        }
     }
-    closed.extend(engine.finish());
-    Ok((render_fixes(&engine.batch_fixes(closed)), rec.report))
+    files.sort();
+    Ok(files)
 }
 
 /// Truncates the final journal segment in `dir` to `bytes` bytes into
@@ -349,18 +353,7 @@ pub fn tear_last_record(dir: &Path, bytes: usize) -> Result<bool, SweepError> {
         let op = op.to_string();
         move |source: std::io::Error| SweepError::Io { op, source }
     };
-    // Find the lexicographically (= numerically: names are
-    // zero-padded) last segment file.
-    let mut segments: Vec<PathBuf> = Vec::new();
-    for entry in std::fs::read_dir(dir).map_err(io("scan journal dir"))? {
-        let entry = entry.map_err(io("scan journal dir"))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("segment-") && name.ends_with(".wal") {
-            segments.push(entry.path());
-        }
-    }
-    segments.sort();
+    let segments = journal_files(dir, "wal")?;
     let Some(path) = segments.last() else {
         return Ok(false);
     };
@@ -426,7 +419,8 @@ pub fn crash_sweep(
     config: &CrashSweepConfig,
 ) -> Result<CrashReport, SweepError> {
     let frames: Vec<CapturedFrame> = scenario.captures().iter().cloned().collect();
-    let reference = clean_reference(scenario, &frames);
+    // The uninterrupted run.
+    let reference = render_fixes(&replay_frames(scenario.fresh_map(), sweep_config(), &frames).0);
     let stride = config.stride.max(1);
     let mut boundaries: Vec<usize> = (0..=frames.len()).step_by(stride).collect();
     if boundaries.last() != Some(&frames.len()) {
@@ -437,17 +431,19 @@ pub fn crash_sweep(
         marauder_par::par_map_range(boundaries.len(), |i| {
             let n = boundaries[i];
             let cell_dir = dir.join(format!("crash-{n:08}"));
-            let _ = std::fs::remove_dir_all(&cell_dir);
-            run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
-            let (rendered, report) = recover_and_resume(scenario, &frames, &cell_dir)?;
+            let crash =
+                || run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every);
+            let resume =
+                || recover_and_resume(scenario, &frames, &cell_dir, config.checkpoint_every);
+            crash()?;
+            let (rendered, report) = resume()?;
             let matched = rendered == reference;
 
             let torn = if config.torn_write_bytes > 0 {
                 // Fresh pre-crash state, then tear the final record.
-                let _ = std::fs::remove_dir_all(&cell_dir);
-                run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
+                crash()?;
                 if tear_last_record(&cell_dir, config.torn_write_bytes)? {
-                    let (rendered, report) = recover_and_resume(scenario, &frames, &cell_dir)?;
+                    let (rendered, report) = resume()?;
                     Some(TornOutcome {
                         bytes: config.torn_write_bytes,
                         torn_tail_bytes: report.torn_tail_bytes,
@@ -463,15 +459,22 @@ pub fn crash_sweep(
             let torn_header = if config.torn_header_bytes > 0 {
                 // Fresh pre-crash state, then die mid-rotation: the
                 // next segment file exists, headerless.
-                let _ = std::fs::remove_dir_all(&cell_dir);
-                run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
+                crash()?;
                 tear_segment_header(&cell_dir, n as u64, config.torn_header_bytes)?;
-                let (rendered, report) = recover_and_resume(scenario, &frames, &cell_dir)?;
+                let (rendered, report) = resume()?;
                 // The resumed run journaled the remaining frames; a
-                // second recovery must see every one of them. This is
-                // the check that catches resumed appends landing in a
-                // reopened headerless segment and being discarded as
-                // a torn tail on the next recovery.
+                // second recovery must see every one of them *in the
+                // segments*. This is the check that catches resumed
+                // appends landing in a reopened headerless segment and
+                // being discarded as a torn tail on the next recovery —
+                // so it ignores the checkpoints the sealed run wrote,
+                // whose frame counts would cover the loss.
+                for checkpoint in journal_files(&cell_dir, "ckpt")? {
+                    std::fs::remove_file(checkpoint).map_err(|source| SweepError::Io {
+                        op: "drop checkpoint".to_string(),
+                        source,
+                    })?;
+                }
                 let rec2 = FrameJournal::recover(&cell_dir, scenario.fresh_map(), sweep_config())?;
                 Some(TornOutcome {
                     bytes: config.torn_header_bytes,

@@ -63,17 +63,10 @@ pub fn write_capture_log(db: &CaptureDatabase) -> String {
     out
 }
 
-/// Parses one non-header line of the capture-log body.
-///
-/// Returns `Ok(None)` for blank lines and `#` comments. This is the
-/// unit the streaming consumers (`marauder replay --follow`) use to
-/// decode lines appended to a live log.
-///
-/// # Errors
-///
-/// Returns the malformation reason (without a line number — callers
-/// tracking position wrap it into [`ParseLogError`]).
-pub fn parse_capture_line(line: &str) -> Result<Option<CapturedFrame>, String> {
+/// Parses one non-header line of the capture-log body: `Ok(None)` for
+/// blank lines and `#` comments, else the frame or the malformation
+/// reason (without a line number — [`CaptureLogLines`] adds it).
+fn parse_capture_line(line: &str) -> Result<Option<CapturedFrame>, String> {
     if line.trim().is_empty() || line.starts_with('#') {
         return Ok(None);
     }
@@ -117,27 +110,42 @@ pub fn parse_capture_line(line: &str) -> Result<Option<CapturedFrame>, String> {
 /// number and iteration resumes at the following line — callers decide
 /// whether to abort on the first error
 /// ([`parse_capture_log`] does) or skip-and-count under an error
-/// budget (`marauder_stream::replay_log` does).
+/// budget (`marauder_stream::Ingest` does).
+///
+/// `L` yields the log's lines without terminators: a whole text's
+/// ([`capture_log_frames`]) or a growing file's ([`capture_log_lines`]).
 #[derive(Debug, Clone)]
-pub struct CaptureLogFrames<'a> {
-    lines: std::str::Lines<'a>,
+pub struct CaptureLogLines<L> {
+    lines: L,
     line_no: usize,
     header_ok: bool,
     failed: bool,
 }
 
+/// [`CaptureLogLines`] over a whole text.
+pub type CaptureLogFrames<'a> = CaptureLogLines<std::str::Lines<'a>>;
+
 /// Iterates over the frames of a capture log without building a
-/// database. See [`CaptureLogFrames`].
+/// database. See [`CaptureLogLines`].
 pub fn capture_log_frames(text: &str) -> CaptureLogFrames<'_> {
-    CaptureLogFrames {
-        lines: text.lines(),
+    capture_log_lines(text.lines())
+}
+
+/// Iterates over the frames of a capture log that arrives line by line
+/// (a followed file, say). See [`CaptureLogLines`].
+pub fn capture_log_lines<L: IntoIterator>(lines: L) -> CaptureLogLines<L::IntoIter> {
+    CaptureLogLines {
+        lines: lines.into_iter(),
         line_no: 0,
         header_ok: false,
         failed: false,
     }
 }
 
-impl Iterator for CaptureLogFrames<'_> {
+impl<L: Iterator> Iterator for CaptureLogLines<L>
+where
+    L::Item: AsRef<str>,
+{
     type Item = Result<CapturedFrame, ParseLogError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -147,7 +155,7 @@ impl Iterator for CaptureLogFrames<'_> {
         if !self.header_ok {
             self.line_no += 1;
             match self.lines.next() {
-                Some(h) if h.trim() == HEADER => self.header_ok = true,
+                Some(h) if h.as_ref().trim() == HEADER => self.header_ok = true,
                 _ => {
                     self.failed = true;
                     return Some(Err(ParseLogError {
@@ -159,7 +167,7 @@ impl Iterator for CaptureLogFrames<'_> {
         }
         for line in self.lines.by_ref() {
             self.line_no += 1;
-            match parse_capture_line(line) {
+            match parse_capture_line(line.as_ref()) {
                 Ok(None) => continue,
                 Ok(Some(rec)) => return Some(Ok(rec)),
                 // Body errors are recoverable: report, then resume on
